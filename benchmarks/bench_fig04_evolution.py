@@ -8,7 +8,7 @@ distribution has a dominant mode with ~90% of pairs within a 3-hop band.
 """
 
 from repro.experiments import figure4_evolution, format_series
-from repro.metrics import PhaseBoundaries, distance_distribution, distance_mode
+from repro.metrics import distance_distribution, distance_mode
 
 
 def test_fig04_metric_evolution(benchmark, snapshots, evolution, write_result):

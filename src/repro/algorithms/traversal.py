@@ -5,12 +5,12 @@ length of the shortest *directed* path from ``u`` to ``v`` using social links
 only.  The attribute distance (Section 4.1) is derived from social distances
 between the members of two attribute nodes.
 
-:func:`bfs_distances` and :func:`sample_distance_distribution` dispatch
-through the :mod:`repro.engine` registry: on a frozen graph
-(:class:`~repro.graph.frozen.FrozenDiGraph`) the BFS runs as a frontier-array
-sweep over the CSR arrays — each level expands every frontier node's
-successor list in one ``gather_rows`` call — instead of a Python deque loop,
-and the sampled distance histogram accumulates with ``np.bincount``.
+:func:`bfs_distances`, :func:`sample_distance_distribution` and
+:func:`attribute_distance` dispatch through the :mod:`repro.engine`
+registry: on a frozen graph the BFS runs as a frontier-array sweep over the
+CSR arrays — each level expands every frontier node's successor list in one
+``gather_rows`` call — instead of a Python deque loop, and the sampled
+distance histogram accumulates with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..engine import dispatchable, kernel
 from ..graph.digraph import DiGraph
-from ..graph.frozen import FrozenDiGraph, gather_rows
+from ..graph.frozen import FrozenDiGraph, FrozenSAN, gather_rows, sorted_membership
 from ..graph.protocol import SANView
 from ..utils.rng import RngLike, ensure_rng
 
@@ -230,6 +230,7 @@ def effective_diameter_from_histogram(
     return float(max(histogram))
 
 
+@dispatchable("attribute_distance")
 def attribute_distance(
     san: SANView, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
 ) -> Optional[int]:
@@ -238,28 +239,63 @@ def attribute_distance(
     ``dist(a, b) = min{dist(u, v) : u in Gamma_s(a), v in Gamma_s(b)} + 1``:
     one plus the minimum directed social distance between any member of ``a``
     and any member of ``b``.  Returns ``None`` when no member of ``b`` is
-    reachable from any member of ``a``.  Accepts either SAN backend; the
-    inner BFS dispatches to the frontier-array kernel on frozen inputs.
+    reachable from any member of ``a`` within ``max_depth`` hops.
+
+    One breadth-first search seeded with every member of ``a`` at depth 0
+    finds that minimum: the first level that touches a member of ``b`` is
+    it, so the search stops there.  On a frozen SAN the search runs as a
+    frontier-array sweep over the social CSR.
     """
     members_a = san.attributes.members_of(attribute_a)
-    members_b = set(san.attributes.members_of(attribute_b))
+    members_b = san.attributes.members_of(attribute_b)
     if not members_a or not members_b:
         return None
-    shared = members_a & members_b
-    if shared:
+    if not members_a.isdisjoint(members_b):
         return 1
-    best: Optional[int] = None
-    for source in members_a:
-        distances = bfs_distances(san.social, source, max_depth=max_depth)
-        for target in members_b:
-            distance = distances.get(target)
-            if distance is None:
-                continue
-            if best is None or distance < best:
-                best = distance
-                if best == 1:
-                    return best + 1
-    return None if best is None else best + 1
+    seen = set(members_a)
+    frontier = list(members_a)
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        next_frontier = []
+        for node in frontier:
+            for neighbor in san.social.successors(node):
+                if neighbor in seen:
+                    continue
+                if neighbor in members_b:
+                    return depth + 1
+                seen.add(neighbor)
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+    return None
+
+
+@kernel("attribute_distance")
+def _attribute_distance_frozen(
+    san: FrozenSAN, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
+) -> Optional[int]:
+    members_a = san.attributes.member_indices_of(attribute_a)
+    members_b = san.attributes.member_indices_of(attribute_b)
+    if members_a.size == 0 or members_b.size == 0:
+        return None
+    if np.any(sorted_membership(members_b, members_a)):
+        return 1
+    indptr, indices = san.social.out_csr()
+    is_target = np.zeros(indptr.size - 1, dtype=bool)
+    is_target[members_b] = True
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[members_a] = True
+    frontier = members_a
+    depth = 0
+    while frontier.size and (max_depth is None or depth < max_depth):
+        neighbors, _ = gather_rows(indptr, indices, frontier)
+        fresh = np.unique(neighbors[~seen[neighbors]])
+        depth += 1
+        if np.any(is_target[fresh]):
+            return depth + 1
+        seen[fresh] = True
+        frontier = fresh
+    return None
 
 
 def sample_attribute_distance_distribution(

@@ -23,7 +23,7 @@ reruns the full figure suite without recomputing a single artifact.
 
 Persistence goes through :mod:`repro.graph.serialization` (SAN JSON
 documents) for mutable inputs and :mod:`repro.graph.columnar` (binary
-columnar files, served as ``np.memmap`` views on warm hits) for frozen
+columnar files, served as read-only mapped views on warm hits) for frozen
 graphs, and every frozen artifact is built with :func:`canonical_frozen`
 — a sorted rebuild that makes the CSR view a pure function of the graph's
 *content* rather than of the source object's set-insertion history.  Cold,
@@ -463,7 +463,7 @@ def _save_frozen_san(san, path: Path) -> None:
 
 
 def _load_frozen_san(path: Path):
-    # Served copy-free: the CSR arrays are np.memmap views of the cache
+    # Served copy-free: the CSR arrays are mapped views of the cache
     # entry itself, so a warm hit costs one header parse, not an edge scan.
     return open_columnar(path / "san.col", mmap_mode="r")
 

@@ -26,13 +26,8 @@ from ..applications.sybil import SybilLimitParameters, sybil_identities_vs_compr
 from ..algorithms.sampling import subsample_attributes
 from ..algorithms.triangles import classify_closures
 from ..crawler.snapshots import SnapshotSeries
-from ..fitting.mle import (
-    fit_lognormal,
-    fit_lognormal_parameters_over_time,
-    fit_power_law,
-    fit_power_law_exponent_over_time,
-)
-from ..fitting.model_selection import best_fit_name
+from ..fitting.mle import fit_lognormal_parameters_over_time, fit_power_law_exponent_over_time
+from ..fitting.model_selection import compare_distributions
 from ..graph.san import SAN
 from ..metrics.attribute_metrics import (
     attribute_clustering_by_type,
@@ -125,11 +120,11 @@ def figure5_degree_distributions(san: SAN) -> Dict[str, object]:
         ("indegree", social_in_degrees(san)),
     ):
         positive = [d for d in degrees if d >= 1]
-        lognormal = fit_lognormal(positive)
-        power = fit_power_law(positive)
+        fits = compare_distributions(positive, compute_ks=False)
+        lognormal, power = fits.fits["lognormal"], fits.fits["power_law"]
         result[name] = {
             "distribution": log_binned_degree_distribution(positive),
-            "best_fit": best_fit_name(positive),
+            "best_fit": fits.best_name,
             "lognormal_mu": lognormal.distribution.mu,
             "lognormal_sigma": lognormal.distribution.sigma,
             "power_law_alpha": power.distribution.alpha,
@@ -208,18 +203,20 @@ def figure9_clustering_distributions(
 def figure10_attribute_degrees(san: SAN) -> Dict[str, object]:
     attribute_degrees = [d for d in attribute_degrees_of_social_nodes(san) if d >= 1]
     attribute_social = [d for d in social_degrees_of_attribute_nodes(san) if d >= 1]
-    lognormal = fit_lognormal(attribute_degrees)
-    power = fit_power_law(attribute_social)
+    attribute_fits = compare_distributions(attribute_degrees, compute_ks=False)
+    social_fits = compare_distributions(attribute_social, compute_ks=False)
+    lognormal = attribute_fits.fits["lognormal"]
+    power = social_fits.fits["power_law"]
     return {
         "attribute_degree": {
             "distribution": log_binned_degree_distribution(attribute_degrees),
-            "best_fit": best_fit_name(attribute_degrees),
+            "best_fit": attribute_fits.best_name,
             "lognormal_mu": lognormal.distribution.mu,
             "lognormal_sigma": lognormal.distribution.sigma,
         },
         "attribute_social_degree": {
             "distribution": log_binned_degree_distribution(attribute_social),
-            "best_fit": best_fit_name(attribute_social),
+            "best_fit": social_fits.best_name,
             "power_law_alpha": power.distribution.alpha,
         },
     }
@@ -368,10 +365,10 @@ def _degree_fit_summary(san: SAN) -> Dict[str, object]:
         if len(positive) < 10:
             summary[name] = {"best_fit": "insufficient_data"}
             continue
-        lognormal = fit_lognormal(positive)
-        power = fit_power_law(positive)
+        fits = compare_distributions(positive, compute_ks=False)
+        lognormal, power = fits.fits["lognormal"], fits.fits["power_law"]
         summary[name] = {
-            "best_fit": best_fit_name(positive),
+            "best_fit": fits.best_name,
             "lognormal_mu": lognormal.distribution.mu,
             "lognormal_sigma": lognormal.distribution.sigma,
             "power_law_alpha": power.distribution.alpha,
@@ -427,10 +424,10 @@ def figure18_ablations(
 
     def indegree_fits(san: SAN) -> Dict[str, float]:
         degrees = [d for d in social_in_degrees(san) if d >= 1]
-        lognormal = fit_lognormal(degrees)
-        power = fit_power_law(degrees)
+        fits = compare_distributions(degrees, compute_ks=False)
+        lognormal, power = fits.fits["lognormal"], fits.fits["power_law"]
         return {
-            "best_fit": best_fit_name(degrees),
+            "best_fit": fits.best_name,
             "lognormal_minus_power_ll": lognormal.log_likelihood - power.log_likelihood,
         }
 

@@ -5,7 +5,7 @@ This is the out-of-core backbone promised by ROADMAP item 1: a frozen graph
 :class:`~repro.graph.frozen.FrozenDiGraph`) is laid out on disk as a small
 self-describing header followed by 64-byte-aligned little-endian array
 sections — one per CSR array, label table, and attribute-membership column —
-so :func:`open_columnar` can hand every kernel an ``np.memmap`` view of the
+so :func:`open_columnar` can hand every kernel a read-only view of the mapped
 file instead of re-parsing text into RAM.
 
 File layout (version 1)::
@@ -51,6 +51,7 @@ to prove the whole suite runs out-of-core.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 import tempfile
@@ -139,7 +140,7 @@ def _decode_object_table(
     path: object, kinds: np.ndarray, offsets: np.ndarray, blob: np.ndarray
 ) -> List[object]:
     # Bulk-materialize the three sections up front: per-element indexing on
-    # an np.memmap is a syscall-free but slow scalar read, and this loop
+    # a mapped array is a syscall-free but slow scalar read, and this loop
     # touches every offset twice.
     raw = blob.tobytes()
     bounds = offsets.tolist()
@@ -425,10 +426,12 @@ def _load_sections(
             if int(np.prod(shape, dtype=np.int64)) == 0:
                 arrays[name] = np.empty(shape, dtype=dtype)
             else:
+                # A plain ndarray view of the read-only map: np.memmap's
+                # Python-level __getitem__ would tax every row slice.
                 arrays[name] = np.memmap(
                     path, dtype=dtype, mode="r",
                     offset=data_start + rel_offset, shape=shape,
-                )
+                ).view(np.ndarray)
         return arrays
     with open(path, "rb") as handle:
         for name, (rel_offset, shape, dtype_str) in header["sections"].items():
@@ -446,7 +449,7 @@ def open_columnar(
     """Open a columnar file as a frozen graph.
 
     With the default ``mmap_mode="r"`` every CSR array is a read-only
-    ``np.memmap`` view of the file — opening is O(header + labels), not
+    ``ndarray`` view of the memory-mapped file — opening is O(header + labels), not
     O(edges), and the kernel pages adjacency in on demand.  With
     ``mmap_mode=None`` the arrays are read fully into RAM (bit-identical
     either way).
@@ -605,8 +608,12 @@ def maybe_spill(graph: GraphLike) -> GraphLike:
 
 
 def is_mmap_backed(graph: Union[FrozenSAN, FrozenDiGraph]) -> bool:
-    """Whether ``graph``'s primary adjacency array is an ``np.memmap`` view."""
+    """Whether ``graph``'s primary adjacency array is a view of a mapped file."""
     if isinstance(graph, FrozenSAN):
         graph = graph.social
-    _, indices = graph.out_csr()
-    return isinstance(indices, np.memmap)
+    _, array = graph.out_csr()
+    while array is not None:
+        if isinstance(array, (np.memmap, mmap.mmap)):
+            return True
+        array = getattr(array, "base", None)
+    return False

@@ -80,6 +80,17 @@ def test_power_law_with_cutoff_sampling():
     assert samples.mean() < 40
 
 
+@pytest.mark.parametrize("alpha,rate,xmin", [(0.5, 1e-5, 1), (1.6, 0.08, 3)])
+def test_power_law_with_cutoff_samples_follow_the_cdf(alpha, rate, xmin):
+    # alpha <= 1 with a slow cutoff puts ~16% of the mass past k = 1e5.
+    dist = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
+    samples = dist.sample(20000, np.random.default_rng(4))
+    assert samples.min() >= xmin
+    for point in np.quantile(samples, [0.1, 0.5, 0.9]).astype(int):
+        exact = float(np.sum(dist.pmf(np.arange(xmin, point + 1))))
+        assert float(np.mean(samples <= point)) == pytest.approx(exact, abs=0.02)
+
+
 def test_exponential_pmf_and_sampling():
     dist = DiscreteExponential(rate=0.5, xmin=1)
     ks = np.arange(1, 200)
@@ -108,3 +119,67 @@ def test_truncated_normal_mean_variance():
     assert variance0 < 4.0
     with pytest.raises(ValueError):
         truncated_normal_mean_variance(1.0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# Normaliser accuracy: head sum + Euler-Maclaurin tail vs a direct sum
+# ----------------------------------------------------------------------
+DIRECT_SUM_END = 10 ** 7
+DIRECT_SUM_CHUNK = 10 ** 6
+
+
+def _direct_mass(dist):
+    """sum of pmf(k) for xmin <= k < 10^7, chunk by chunk."""
+    chunks = []
+    for start in range(dist.xmin, DIRECT_SUM_END, DIRECT_SUM_CHUNK):
+        ks = np.arange(start, min(start + DIRECT_SUM_CHUNK, DIRECT_SUM_END), dtype=float)
+        chunks.append(float(np.sum(dist.pmf(ks))))
+    return math.fsum(chunks)
+
+
+def _tail_mass(weight_integral, weight, weight_slope, dist):
+    """Mass beyond 10^7: the midpoint Euler-Maclaurin formula, written out here."""
+    m = DIRECT_SUM_END - 0.5
+    tail_weight = weight_integral(m) + weight(m) * weight_slope(m) / 24
+    return tail_weight * math.exp(-dist.log_normaliser())
+
+
+@pytest.mark.parametrize("xmin", [1, 3, 50])
+@pytest.mark.parametrize("mu,sigma", [(0.0, 0.5), (1.0, 4.0), (2.5, 1.5), (5.0, 4.0)])
+def test_lognormal_normaliser_matches_direct_sum(mu, sigma, xmin):
+    dist = DiscreteLognormal(mu=mu, sigma=sigma, xmin=xmin)
+    tail = _tail_mass(
+        lambda m: sigma * math.sqrt(math.pi / 2) * math.erfc((math.log(m) - mu) / (sigma * math.sqrt(2))),
+        lambda m: math.exp(-math.log(m) - (math.log(m) - mu) ** 2 / (2 * sigma ** 2)),
+        lambda m: -(1 + (math.log(m) - mu) / sigma ** 2) / m,
+        dist,
+    )
+    assert _direct_mass(dist) + tail == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("xmin", [1, 3, 50])
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.5, 6.0])
+def test_power_law_normaliser_matches_direct_sum(alpha, xmin):
+    dist = PowerLaw(alpha=alpha, xmin=xmin)
+    tail = _tail_mass(
+        lambda m: m ** (1 - alpha) / (alpha - 1),
+        lambda m: m ** -alpha,
+        lambda m: -alpha / m,
+        dist,
+    )
+    assert _direct_mass(dist) + tail == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("xmin", [1, 3, 50])
+@pytest.mark.parametrize("alpha,rate", [(0.5, 1e-3), (1.05, 1e-5), (2.0, 0.1)])
+def test_power_law_with_cutoff_normaliser_matches_direct_sum(alpha, rate, xmin):
+    # Every rate here puts less than e^-100 of the mass beyond 10^7.
+    dist = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
+    assert _direct_mass(dist) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_power_law_needs_alpha_above_one():
+    with pytest.raises(ValueError):
+        PowerLaw(alpha=1.0).log_normaliser()
+    with pytest.raises(ValueError):
+        PowerLawWithCutoff(alpha=2.0, cutoff_rate=0.0).log_normaliser()

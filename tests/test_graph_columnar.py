@@ -36,7 +36,6 @@ from repro.graph import (
 )
 from repro.graph.columnar import (
     FORMAT_VERSION,
-    MAGIC,
     SECTION_ALIGNMENT,
     _collect_sections,
 )
@@ -90,6 +89,24 @@ def test_mmap_and_ram_reads_agree(columnar_path):
         open_columnar(columnar_path, mmap_mode="r"),
         open_columnar(columnar_path, mmap_mode=None),
     )
+
+
+def test_mmap_sections_are_read_only_plain_ndarray_views(columnar_path):
+    mapped = open_columnar(columnar_path, mmap_mode="r")
+    in_ram = open_columnar(columnar_path, mmap_mode=None)
+    assert is_mmap_backed(mapped) and not is_mmap_backed(in_ram)
+    arrays = (
+        *mapped.social.out_csr(),
+        *mapped.social.in_csr(),
+        *mapped.attributes.social_to_attr_csr(),
+        *mapped.attributes.attr_to_social_csr(),
+    )
+    for array in arrays:
+        # A plain ndarray (no np.memmap __getitem__ per slice), still file-backed.
+        assert type(array) is np.ndarray
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 def test_kernels_agree_between_ram_and_mmap(columnar_path, figure1_san):

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from repro.algorithms import (
     HyperLogLog,
     approximate_average_clustering,
+    attribute_distance,
     average_social_clustering_coefficient,
     bfs_distances,
     effective_diameter_from_histogram,
     weakly_connected_components,
 )
+from repro.engine import resolve
 from repro.graph import SAN
 from repro.metrics import social_assortativity, social_knn
 from repro.utils.stats import ccdf, percentile
@@ -45,6 +47,38 @@ def test_bfs_distances_triangle_inequality_over_edges(edges):
     for u, v in san.social_edges():
         if u in distances:
             assert distances.get(v, float("inf")) <= distances[u] + 1
+
+
+def _brute_force_attribute_distance(san, first, second, max_depth):
+    """min over member pairs of one single-source BFS distance, plus one."""
+    best = None
+    targets = san.attributes.members_of(second)
+    for source in san.attributes.members_of(first):
+        distances = bfs_distances(san.social, source, max_depth=max_depth)
+        for target in targets:
+            if target in distances and (best is None or distances[target] < best):
+                best = distances[target]
+    return None if best is None else best + 1
+
+
+@given(
+    edge_lists,
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 4)), min_size=2, max_size=30),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+@settings(max_examples=60, deadline=None)
+def test_attribute_distance_is_minimum_over_per_source_bfs(edges, links, max_depth):
+    san = _san_from(edges)
+    for user, attribute in links:
+        san.add_attribute_edge(user, f"a:{attribute}", attr_type="a")
+    frozen = san.freeze()
+    assert resolve("attribute_distance", frozen).backend == "frozen"
+    attributes = sorted(san.attribute_nodes())
+    for first in attributes:
+        for second in attributes:
+            expected = _brute_force_attribute_distance(san, first, second, max_depth)
+            assert attribute_distance(san, first, second, max_depth=max_depth) == expected
+            assert attribute_distance(frozen, first, second, max_depth=max_depth) == expected
 
 
 @given(edge_lists)
