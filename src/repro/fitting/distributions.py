@@ -19,7 +19,8 @@ Euler-Maclaurin midpoint formula
 where ``|R|`` is of order ``7 |f'''(a-1/2)| / 5760``.  The tail integral is
 closed-form for the lognormal (``sigma sqrt(pi/2) erfc``) and the power law
 (``m^(1-alpha) / (alpha-1)``); for the cutoff family it is Gauss-Legendre
-quadrature in ``t = ln x``.  One normaliser therefore costs the same for
+quadrature in ``t = ln x``.  A tail below ``e^-40`` of the largest head term
+is left out, correction and all.  One normaliser therefore costs the same for
 every parameter value, and against 30-digit references ``ln Z`` is within
 about ``1e-13`` absolute over the ranges the fits explore (see
 ``docs/architecture.md``, "Fitting degree distributions").
@@ -36,6 +37,10 @@ import numpy as np
 
 #: Support points ``xmin .. xmin + HEAD_SIZE - 1`` summed term by term.
 HEAD_SIZE = 1024
+
+#: A tail below ``e^-40`` of the largest head term is dropped: ``e^-40`` is
+#: under half an ulp of 1, so adding it cannot change the normaliser.
+_NEGLIGIBLE_TAIL = 40.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,15 +68,19 @@ def _log_normaliser(
     if xmin < 1:
         raise ValueError(f"xmin must be >= 1, got {xmin}")
     head = log_weight(np.arange(xmin, xmin + HEAD_SIZE, dtype=float))
+    head_peak = float(np.max(head))
     midpoint = xmin + HEAD_SIZE - 0.5
     log_integral = log_tail_integral(midpoint)
-    if log_integral == -math.inf:
+    if log_integral < head_peak - _NEGLIGIBLE_TAIL:
+        # This also skips the correction where it is invalid: a weight that
+        # falls by a large factor per unit step (a cutoff rate of a few
+        # units) is too steep for Euler-Maclaurin, and its tail is negligible.
         log_tail = -math.inf
     else:
         # int + w'(m)/24, factored as int * (1 + w(m) (w'/w)(m) / (24 int)).
         ratio = math.exp(float(log_weight(midpoint)) - log_integral)
         log_tail = log_integral + math.log1p(ratio * log_weight_slope(midpoint) / 24)
-    peak = max(float(np.max(head)), log_tail)
+    peak = max(head_peak, log_tail)
     return peak + math.log(float(np.sum(np.exp(head - peak))) + math.exp(log_tail - peak))
 
 

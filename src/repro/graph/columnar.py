@@ -51,7 +51,6 @@ to prove the whole suite runs out-of-core.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 import tempfile
@@ -613,7 +612,7 @@ def is_mmap_backed(graph: Union[FrozenSAN, FrozenDiGraph]) -> bool:
         graph = graph.social
     _, array = graph.out_csr()
     while array is not None:
-        if isinstance(array, (np.memmap, mmap.mmap)):
+        if isinstance(array, np.memmap):
             return True
         array = getattr(array, "base", None)
     return False

@@ -171,7 +171,11 @@ def test_power_law_normaliser_matches_direct_sum(alpha, xmin):
 
 
 @pytest.mark.parametrize("xmin", [1, 3, 50])
-@pytest.mark.parametrize("alpha,rate", [(0.5, 1e-3), (1.05, 1e-5), (2.0, 0.1)])
+# Rates 5 and 10 fall too steeply per step for Euler-Maclaurin: the
+# normaliser must leave out the (negligible) tail correction there.
+@pytest.mark.parametrize(
+    "alpha,rate", [(0.5, 1e-3), (1.05, 1e-5), (2.0, 0.1), (1.5, 5.0), (1.5, 10.0)]
+)
 def test_power_law_with_cutoff_normaliser_matches_direct_sum(alpha, rate, xmin):
     # Every rate here puts less than e^-100 of the mass beyond 10^7.
     dist = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)

@@ -6,6 +6,7 @@ import pytest
 from repro.fitting import (
     DiscreteLognormal,
     PowerLaw,
+    compare_distributions,
     fit_exponential,
     fit_lognormal,
     fit_lognormal_parameters_over_time,
@@ -65,6 +66,23 @@ def test_fit_power_law_with_cutoff_improves_on_pure_power_law_for_cutoff_data():
     plain = fit_power_law(samples)
     with_cutoff = fit_power_law_with_cutoff(samples)
     assert with_cutoff.log_likelihood >= plain.log_likelihood - 1e-6
+
+
+def test_fits_of_a_mostly_ones_sample():
+    # Mean 1.1, so the cutoff fitter's rate bracket reaches rates near 10.
+    # Reference parameters from fits with directly summed normalisers.
+    sample = [1] * 18 + [2] * 2
+    fit = fit_power_law_with_cutoff(sample)
+    assert fit.distribution.alpha == pytest.approx(1.8971891445578986, rel=1e-6)
+    assert fit.distribution.cutoff_rate == pytest.approx(1.2142884197201007, rel=1e-6)
+    comparison = compare_distributions(sample, compute_ks=False)
+    assert sorted(comparison.fits) == [
+        "exponential",
+        "lognormal",
+        "power_law",
+        "power_law_with_cutoff",
+    ]
+    assert comparison.best_name == "lognormal"
 
 
 def test_fit_result_aic_penalises_parameters():
