@@ -118,7 +118,10 @@ def test_pipeline_cached_run_vs_naive_rederivation(tmp_path_factory, write_resul
 
 
 def test_pipeline_parallel_stages_match_serial(tmp_path_factory, write_result):
-    """--jobs changes wall-clock, never payloads."""
+    """--jobs changes wall-clock, never payloads.
+
+    With a cache dir, ``jobs=4`` runs the stages on four worker processes.
+    """
     scenario = get_scenario("tiny")
     cache_dir = tmp_path_factory.mktemp("pipeline-jobs-cache")
     serial = run_pipeline(scenario, cache_dir=cache_dir, jobs=1)
@@ -136,7 +139,7 @@ def test_pipeline_parallel_stages_match_serial(tmp_path_factory, write_result):
                 {"jobs": 1, "total_s": round(serial.total_seconds, 2)},
                 {"jobs": 4, "total_s": round(parallel.total_seconds, 2)},
             ],
-            title="Pipeline stage execution — serial vs 4 worker threads (tiny)",
+            title="Pipeline stage execution — serial vs 4 worker processes (tiny)",
         ),
     )
     assert not mismatched, f"parallel payloads diverge: {mismatched}"

@@ -8,12 +8,10 @@ Metric and algorithm modules declare a portable implementation with
 :mod:`repro.engine.deps` for how optional dependencies (scipy) are gated.
 """
 
-from . import deps, parallel
+from . import deps
 from .registry import (
-    DEFAULT_PARALLEL_THRESHOLD,
     FROZEN,
     MUTABLE,
-    PARALLEL,
     DuplicateKernelError,
     EngineConfig,
     EngineError,
@@ -36,10 +34,8 @@ from .registry import (
 )
 
 __all__ = [
-    "DEFAULT_PARALLEL_THRESHOLD",
     "FROZEN",
     "MUTABLE",
-    "PARALLEL",
     "DuplicateKernelError",
     "EngineConfig",
     "EngineError",
@@ -57,7 +53,6 @@ __all__ = [
     "kernel",
     "kernels_for",
     "list_ops",
-    "parallel",
     "register",
     "resolve",
     "select",

@@ -34,7 +34,8 @@ def env_flag(name: str) -> bool:
 
     Read from the environment on every call (it is one dict lookup) so tests
     can flip a flag with ``monkeypatch.setenv`` without reimporting.  Shared
-    by every engine escape hatch (``REPRO_NO_SCIPY``, ``REPRO_NO_PARALLEL``).
+    by the engine's environment switches (``REPRO_NO_SCIPY``,
+    ``REPRO_SANITIZE``).
     """
     return os.environ.get(name, "").strip().lower() in _TRUTHY
 

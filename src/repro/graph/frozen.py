@@ -293,8 +293,9 @@ class FrozenDiGraph:
         "_und_indptr",
         "_und_indices",
         "_edge_src",
-        # Weak-referenceable so the engine's parallel tier can key its
-        # shared-memory segment cache on the graph and unlink on its GC.
+        # Weak-referenceable so weak-keyed memos (the engine's frozen-view
+        # cache) can hold the graph and the columnar spill can unlink its
+        # temp file via weakref.finalize when the graph is collected.
         "__weakref__",
     )
 

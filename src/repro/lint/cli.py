@@ -27,11 +27,10 @@ def default_target() -> Path:
 def add_parser(subparsers: argparse._SubParsersAction) -> argparse.ArgumentParser:
     """Attach the ``lint`` subcommand to the main ``repro`` parser."""
     lint_help = (
-        "run the invariant linter (rules R001-R010: seeded RNG, scipy "
-        "containment, registry dispatch, content-derived caches, "
-        "shared-memory hygiene, cache-token soundness, parallel-worker "
-        "purity, seed-stream discipline, storage hygiene) over src/repro "
-        "or the given paths"
+        "run the invariant linter (rules R001-R004, R006, R007, R009, R010: "
+        "seeded RNG, scipy containment, registry dispatch, content-derived "
+        "caches, registry coherence, cache-token soundness, seed-stream "
+        "discipline, storage hygiene) over src/repro or the given paths"
     )
     parser = subparsers.add_parser("lint", help=lint_help, description=lint_help)
     parser.add_argument(
