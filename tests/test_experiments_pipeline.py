@@ -315,15 +315,11 @@ def test_parallel_stage_execution_matches_serial(tiny_pipeline, pipeline_cache):
     parallel = run_pipeline(
         "tiny", figures=PARITY_FIGURES, cache_dir=pipeline_cache, jobs=4
     )
-    assert parallel.executor == "process"
-    assert tiny_pipeline.executor == "serial"
     assert set(parallel.stages) == set(tiny_pipeline.stages)
     for name in PARITY_FIGURES:
         assert canonical_json(parallel.stages[name].payload) == canonical_json(
             tiny_pipeline.stages[name].payload
         )
-    # Warm process run rebuilt nothing: workers rehydrated from disk.
-    assert parallel.recomputed_persistent_artifacts() == []
 
 
 def test_runner_writes_manifest_and_reports(tmp_path, tiny_pipeline, pipeline_cache):
@@ -359,6 +355,22 @@ EXECUTOR_FIGURES = ("fig02_03", "sec22", "fig05")
 
 
 class TestProcessExecutor:
+    def test_process_payloads_match_serial(self, tiny_pipeline, pipeline_cache):
+        serial = run_pipeline(
+            "tiny", figures=EXECUTOR_FIGURES, cache_dir=pipeline_cache, jobs=1
+        )
+        result = run_pipeline(
+            "tiny", figures=EXECUTOR_FIGURES, cache_dir=pipeline_cache, jobs=2
+        )
+        assert result.executor == "process"
+        assert serial.executor == "serial"
+        for name in EXECUTOR_FIGURES:
+            assert canonical_json(result.stages[name].payload) == canonical_json(
+                serial.stages[name].payload
+            )
+        # Warm process run rebuilt nothing: workers rehydrated from disk.
+        assert result.recomputed_persistent_artifacts() == []
+
     def test_processes_need_jobs_and_a_cache_dir(self, tiny_pipeline, pipeline_cache):
         result = run_pipeline(
             "tiny", figures=EXECUTOR_FIGURES, cache_dir=pipeline_cache, jobs=2
